@@ -2,15 +2,20 @@
 // contract that both the HTTP server (internal/api/httpapi) and every
 // consumer — the goblaz CLI, tests, dashboards — program against.
 //
-// The contract has three parts. Backend is the service interface, with
-// two interchangeable implementations: Local, wrapping a store.Reader
-// and a query.Engine in process, and Client, the HTTP SDK — so a tool
-// written against Backend works identically on a store path and on a
-// serving URL. Error is the typed, versioned error model: every failure
-// carries a stable string Code that survives transport (rendered as a
-// JSON envelope over HTTP) and maps deterministically to an HTTP
-// status. All methods take a context.Context; cancellation propagates
-// into compressed-domain work instead of letting it run for nobody.
+// The contract has three parts. Backend is the service interface: one
+// required method set, served in full by Local (in process over a store
+// file; Sharded is a named view of Local over a sharded dataset),
+// Client (the HTTP SDK), the cluster coordinator, the appendable ingest
+// store, and the Limited decorator — so a tool written against Backend
+// works identically on a store path, a manifest, and a serving URL.
+// Ingestor is the only optional capability. The scatter-gather
+// executor behind Sharded and the cluster coordinator is
+// query.Scatter. Error is the typed, versioned error model: every
+// failure carries a stable string Code that survives transport
+// (rendered as a JSON envelope over HTTP) and maps deterministically to
+// an HTTP status. All methods take a context.Context; cancellation
+// propagates into compressed-domain work instead of letting it run for
+// nobody.
 package api
 
 import (
@@ -19,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 
 	"repro/internal/codec"
 	"repro/internal/query"
@@ -283,19 +289,28 @@ type Frame struct {
 	Data  []float64 `json:"data"`
 }
 
-// Backend is the v1 service contract. Both implementations — Local
-// over an open store file, Client over HTTP — satisfy it, which is
-// what lets the CLI accept a store path or a serving URL
+// Backend is the v1 service contract: one required method set that
+// every implementation — Local over a store file or a sharded dataset,
+// Client over HTTP, the cluster coordinator, the appendable ingest
+// store, and the Limited decorator — serves in full, which is what lets
+// the CLI accept a store path, a manifest, or a serving URL
 // interchangeably. All methods are safe for concurrent use and honor
 // context cancellation; failures classify through FromError to stable
-// codes on either transport.
+// codes on either transport. Ingestor is the only optional capability.
 type Backend interface {
 	// Spec describes the store.
 	Spec(ctx context.Context) (StoreInfo, error)
 	// Frames returns the frame index in commit order.
 	Frames(ctx context.Context) ([]FrameInfo, error)
+	// FrameInfo returns the index entry of the labeled frame, or a
+	// CodeNotFound error.
+	FrameInfo(ctx context.Context, label int) (FrameInfo, error)
 	// Frame returns the frame with the given label, fully decompressed.
 	Frame(ctx context.Context, label int) (*Frame, error)
+	// PayloadReader returns a positioned reader over the labeled
+	// frame's verified raw compressed payload. A reader that also
+	// implements io.Closer pins backend state and must be closed.
+	PayloadReader(ctx context.Context, label int) (io.ReadSeeker, error)
 	// Region reads the axis-aligned sub-array of the labeled frame.
 	Region(ctx context.Context, label int, offset, shape []int) (*query.FrameResult, error)
 	// Stats computes per-frame aggregates for the labeled frame; nil or
@@ -303,30 +318,6 @@ type Backend interface {
 	Stats(ctx context.Context, label int, aggs []string) (*query.FrameResult, error)
 	// Query runs a full compressed-domain query request.
 	Query(ctx context.Context, req *query.Request) (*query.Result, error)
-}
-
-// Payloads is an optional Backend capability: raw compressed payload
-// access (GET /v1/frames/{label}/payload). Backends that cannot serve
-// it return a CodeNotSupported error from the HTTP layer instead.
-type Payloads interface {
-	Payload(ctx context.Context, label int) ([]byte, error)
-}
-
-// PayloadStreamer is an optional Backend capability: positioned
-// read access to a frame's verified raw payload. The HTTP layer
-// prefers it over Payloads — a memory-mapped store serves the bytes
-// zero-copy through http.ServeContent (Content-Length, Accept-Ranges,
-// Range) instead of materializing a payload copy per request.
-type PayloadStreamer interface {
-	PayloadReader(ctx context.Context, label int) (io.ReadSeeker, error)
-}
-
-// FrameResolver is an optional Backend capability: O(1) resolution of
-// one label to its index entry. The HTTP layer's per-frame routes use
-// it when present (Local resolves through the store's label index) and
-// fall back to scanning Frames otherwise.
-type FrameResolver interface {
-	FrameInfo(ctx context.Context, label int) (FrameInfo, error)
 }
 
 // IngestFrame is one frame submitted to a streaming-ingest backend:
@@ -352,9 +343,9 @@ type IngestResult struct {
 	Frames    int  `json:"frames"`
 }
 
-// Ingestor is an optional Backend capability: streaming frame ingest
-// (POST /v1/datasets/{name}/frames). Backends without it answer the
-// route with a CodeNotSupported error. Implementations guarantee the
+// Ingestor is the one optional Backend capability: streaming frame
+// ingest (POST /v1/datasets/{name}/frames). Backends without it answer
+// the route with a CodeNotSupported error. Implementations guarantee the
 // durability contract IngestResult documents: a successful return
 // means every frame of the batch survives a crash.
 type Ingestor interface {
@@ -365,4 +356,32 @@ type Ingestor interface {
 var AllAggregates = []string{
 	query.AggMean, query.AggVariance, query.AggStdDev,
 	query.AggMin, query.AggMax, query.AggL2Norm,
+}
+
+// FrameQuery answers a per-frame route as a one-frame Query on b; the
+// Stats and Region methods of every backend that plans queries itself
+// (Local, the cluster coordinator, the ingest store) are this call. It
+// resolves label through b.FrameInfo first, so a missing frame is
+// CodeNotFound before any work; it selects the frame by its canonical
+// decimal label, so resolution matches Frame and PayloadReader exactly;
+// and a request asking for neither a region nor aggregates gets
+// AllAggregates, the stats resource's default.
+func FrameQuery(ctx context.Context, b Backend, label int, req query.Request) (*query.FrameResult, error) {
+	if _, err := b.FrameInfo(ctx, label); err != nil {
+		return nil, err
+	}
+	if req.Region == nil && len(req.Aggregates) == 0 {
+		req.Aggregates = AllAggregates
+	}
+	req.Select = query.Selector{Labels: strconv.Itoa(label)}
+	res, err := b.Query(ctx, &req)
+	if err != nil {
+		return nil, err
+	}
+	return &res.Frames[0], nil
+}
+
+// notFound is the error every backend answers an unknown label with.
+func notFound(label int) *Error {
+	return &Error{Code: CodeNotFound, Message: fmt.Sprintf("no frame with label %d", label), err: ErrNotFound}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"testing"
@@ -125,7 +126,7 @@ func TestLocalBackend(t *testing.T) {
 	ctx := context.Background()
 
 	info, err := l.Spec(ctx)
-	if err != nil || info.Spec != l.Reader().Spec() || info.Frames != 3 {
+	if err != nil || info.Spec != l.src.Spec() || info.Frames != 3 {
 		t.Fatalf("Spec = %+v, %v", info, err)
 	}
 
@@ -157,7 +158,11 @@ func TestLocalBackend(t *testing.T) {
 		t.Error("frame differs from original beyond quantization")
 	}
 
-	payload, err := l.Payload(ctx, 2)
+	rs, err := l.PayloadReader(ctx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := io.ReadAll(rs)
 	if err != nil || len(payload) == 0 {
 		t.Fatalf("Payload = %d bytes, %v", len(payload), err)
 	}

@@ -377,9 +377,23 @@ func parseShapeHeader(h string) ([]int, error) {
 	return shape, nil
 }
 
-// Payload fetches a frame's raw compressed bytes, so Client also
-// satisfies the optional Payloads capability.
-func (c *Client) Payload(ctx context.Context, label int) ([]byte, error) {
+// FrameInfo resolves one label from the frame index (GET /frames).
+func (c *Client) FrameInfo(ctx context.Context, label int) (FrameInfo, error) {
+	infos, err := c.Frames(ctx)
+	if err != nil {
+		return FrameInfo{}, err
+	}
+	for _, e := range infos {
+		if e.Label == label {
+			return e, nil
+		}
+	}
+	return FrameInfo{}, notFound(label)
+}
+
+// PayloadReader fetches a frame's raw compressed bytes and serves them
+// from memory.
+func (c *Client) PayloadReader(ctx context.Context, label int) (io.ReadSeeker, error) {
 	resp, err := c.do(ctx, http.MethodGet, "/frames/"+strconv.Itoa(label)+"/payload", nil, nil)
 	if err != nil {
 		return nil, err
@@ -389,7 +403,7 @@ func (c *Client) Payload(ctx context.Context, label int) ([]byte, error) {
 	if err != nil {
 		return nil, &Error{Code: CodeInternal, Message: fmt.Sprintf("reading payload %d: %v", label, err), err: err}
 	}
-	return blob, nil
+	return bytes.NewReader(blob), nil
 }
 
 func (c *Client) Stats(ctx context.Context, label int, aggs []string) (*query.FrameResult, error) {

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -100,8 +101,8 @@ func TestClientMatchesLocal(t *testing.T) {
 		t.Errorf("Frame over HTTP differs from local (%v)", err)
 	}
 
-	lp, _ := local.Payload(ctx, 2)
-	cp, err := c.Payload(ctx, 2)
+	lp, _ := payloadOf(ctx, local, 2)
+	cp, err := payloadOf(ctx, c, 2)
 	if err != nil || !bytes.Equal(cp, lp) {
 		t.Errorf("Payload over HTTP differs from local (%v)", err)
 	}
@@ -300,4 +301,13 @@ func TestClientExhausted429KeepsOverloadedCode(t *testing.T) {
 	if !errors.Is(err, api.ErrOverloaded) {
 		t.Fatalf("sentinel not re-attached across the wire: %v", err)
 	}
+}
+
+// payloadOf reads a frame's raw payload through b's PayloadReader.
+func payloadOf(ctx context.Context, b api.Backend, label int) ([]byte, error) {
+	rs, err := b.PayloadReader(ctx, label)
+	if err != nil {
+		return nil, err
+	}
+	return io.ReadAll(rs)
 }

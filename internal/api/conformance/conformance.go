@@ -1,11 +1,12 @@
 // Package conformance is the reusable v1 Backend contract suite: one
 // table of Spec/Frames/Frame/Region/Stats/Query cases — including the
 // error-code contract — executed against every Backend implementation.
-// api.Local, api.Client (through a real HTTP server), and the sharded
-// backend all pass the same harness, which is what keeps "a URL, a
-// store path, and a manifest are interchangeable" true as the surface
-// grows: a new backend (or a behavior change in an old one) is one
-// Run call away from being checked against the whole contract.
+// api.Local, api.Sharded, api.Client (through a real HTTP server), the
+// Limited decorator and the appendable ingest store all pass the same
+// harness, which is what keeps "a URL, a store path, and a manifest are
+// interchangeable" true as the surface grows: a new backend (or a
+// behavior change in an old one) is one Run call away from being
+// checked against the whole contract.
 //
 // Usage, from any test package:
 //
@@ -259,17 +260,15 @@ func testFrames(t *testing.T, fx *Fixture, b api.Backend) {
 			t.Errorf("entry %d spec %q, want %q", i, e.Spec, want)
 		}
 	}
-	// The optional O(1) resolver must agree with the full index.
-	if fr, ok := b.(api.FrameResolver); ok {
-		for i := range infos {
-			one, err := fr.FrameInfo(context.Background(), i)
-			if err != nil || one != infos[i] {
-				t.Errorf("FrameInfo(%d) = %+v, %v, want %+v", i, one, err, infos[i])
-			}
+	// The single-label resolver must agree with the full index.
+	for i := range infos {
+		one, err := b.FrameInfo(context.Background(), i)
+		if err != nil || one != infos[i] {
+			t.Errorf("FrameInfo(%d) = %+v, %v, want %+v", i, one, err, infos[i])
 		}
-		if _, err := fr.FrameInfo(context.Background(), 99); api.CodeOf(err) != api.CodeNotFound {
-			t.Errorf("FrameInfo(99) = %v, want not_found", err)
-		}
+	}
+	if _, err := b.FrameInfo(context.Background(), 99); api.CodeOf(err) != api.CodeNotFound {
+		t.Errorf("FrameInfo(99) = %v, want not_found", err)
 	}
 }
 

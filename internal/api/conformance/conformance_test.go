@@ -1,9 +1,10 @@
 package conformance_test
 
-// One harness, four ways to serve the same frames: in process over a
-// store file, in process over a 3-shard dataset, and over a real HTTP
-// server — against both the default store mount and a dataset mount.
-// Every implementation must satisfy the identical contract.
+// One harness, many ways to serve the same frames: in process over a
+// store file, a 3-shard dataset, or an appendable ingest store; over a
+// real HTTP server against the default store mount and a dataset
+// mount; behind admission control; and through a proxy tier. Every
+// implementation must satisfy the identical contract.
 
 import (
 	"context"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/api/conformance"
 	"repro/internal/api/httpapi"
+	"repro/internal/ingest"
 	"repro/internal/query"
 )
 
@@ -206,6 +208,134 @@ func TestConformanceLimitedClient(t *testing.T) {
 		}
 		return c
 	})
+}
+
+// clientOf serves h on a test server and returns a Client for the
+// mount at path ("" for the default mount).
+func clientOf(t *testing.T, h http.Handler, path string) *api.Client {
+	t.Helper()
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	c, err := api.NewClient(srv.URL+path, api.ClientOptions{HTTPClient: srv.Client()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func TestConformanceLimitedClientProxy(t *testing.T) {
+	// A proxy tier: the outer Client talks to a server whose backend is
+	// a limited Client of an origin server over a Local. The proxy has
+	// no label index of its own, so its per-frame routes resolve
+	// through the inner Client's FrameInfo.
+	fx := conformance.NewFixture(t)
+	conformance.Run(t, fx, func(t *testing.T) api.Backend {
+		l, err := api.OpenLocal(fx.BuildStore(t, t.TempDir()), query.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		origin := clientOf(t, httpapi.New(l, nil, httpapi.Options{}), "")
+		return clientOf(t, httpapi.New(limited(origin), nil, httpapi.Options{}), "")
+	})
+}
+
+// openIngest reopens the fixture's store file as an appendable ingest
+// store.
+func openIngest(t *testing.T, fx *conformance.Fixture) *ingest.Store {
+	st, err := ingest.Open(fx.BuildStore(t, t.TempDir()), ingest.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+func TestConformanceIngest(t *testing.T) {
+	fx := conformance.NewFixture(t)
+	conformance.Run(t, fx, func(t *testing.T) api.Backend { return openIngest(t, fx) })
+}
+
+func TestConformanceMixedIngest(t *testing.T) {
+	fx := conformance.NewMixedFixture(t)
+	conformance.Run(t, fx, func(t *testing.T) api.Backend { return openIngest(t, fx) })
+}
+
+func TestConformanceLimitedClientIngestMount(t *testing.T) {
+	// The serving shape of a live store: a limited ingest store on a
+	// /v1/datasets/{name} mount, read through the SDK.
+	fx := conformance.NewFixture(t)
+	conformance.Run(t, fx, func(t *testing.T) api.Backend {
+		h := httpapi.New(nil, nil, httpapi.Options{
+			Datasets: map[string]api.Backend{"live": limited(openIngest(t, fx))},
+		})
+		return clientOf(t, h, "/v1/datasets/live")
+	})
+}
+
+// TestLimitKeepsIngestorProbe checks that the limiter changes no
+// capability probe: a backend is an Ingestor through Limit exactly
+// when it is one without it.
+func TestLimitKeepsIngestorProbe(t *testing.T) {
+	fx := conformance.NewFixture(t)
+	l, err := api.OpenLocal(fx.BuildStore(t, t.TempDir()), query.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	s, err := api.OpenSharded(fx.BuildManifest(t, t.TempDir(), 3), query.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	for _, c := range []struct {
+		name string
+		b    api.Backend
+	}{{"local", l}, {"sharded", s}, {"ingest", openIngest(t, fx)}} {
+		_, want := c.b.(api.Ingestor)
+		if _, got := limited(c.b).(api.Ingestor); got != want {
+			t.Errorf("%s: Ingestor through Limit = %v, without = %v", c.name, got, want)
+		}
+	}
+}
+
+// TestOverloadContractIngest saturates a 1-slot, 0-queue limiter over
+// an ingest store: an ingest batch sheds with the overloaded code while
+// the slot is held and lands once capacity returns.
+func TestOverloadContractIngest(t *testing.T) {
+	fx := conformance.NewFixture(t)
+	st := openIngest(t, fx)
+	gate, entered := make(chan struct{}), make(chan struct{})
+	lb := api.Limit(struct {
+		*gatedQuery
+		api.Ingestor
+	}{&gatedQuery{Backend: st, gate: gate, entered: entered}, st},
+		api.LimitOptions{MaxConcurrent: 1, MaxQueue: 0, QueueWait: time.Millisecond})
+	ing, ok := lb.(api.Ingestor)
+	if !ok {
+		t.Fatal("limited ingest store is not an Ingestor")
+	}
+	occupied := make(chan error, 1)
+	go func() {
+		_, err := lb.Query(context.Background(), &query.Request{Aggregates: []string{query.AggMean}})
+		occupied <- err
+	}()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("occupant never reached the backend")
+	}
+	batch := []api.IngestFrame{{Label: conformance.FrameCount, Shape: fx.Frames[0].Shape(), Data: fx.Frames[0].Data()}}
+	if _, err := ing.Ingest(context.Background(), batch); api.CodeOf(err) != api.CodeOverloaded {
+		t.Fatalf("ingest while saturated: %v, want overloaded", err)
+	}
+	close(gate)
+	if err := <-occupied; err != nil {
+		t.Fatalf("occupant: %v", err)
+	}
+	if res, err := ing.Ingest(context.Background(), batch); err != nil || res.Accepted != 1 {
+		t.Fatalf("ingest after capacity returned: %+v, %v", res, err)
+	}
 }
 
 // gatedQuery blocks Query until the gate closes, so overload tests can

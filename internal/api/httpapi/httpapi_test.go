@@ -256,7 +256,11 @@ func (panicBackend) Spec(context.Context) (api.StoreInfo, error) { panic("boom")
 func (panicBackend) Frames(context.Context) ([]api.FrameInfo, error) {
 	return nil, api.Errorf(api.CodeInternal, "x")
 }
-func (panicBackend) Frame(context.Context, int) (*api.Frame, error) { panic("boom") }
+func (panicBackend) Frame(context.Context, int) (*api.Frame, error)        { panic("boom") }
+func (panicBackend) FrameInfo(context.Context, int) (api.FrameInfo, error) { panic("boom") }
+func (panicBackend) PayloadReader(context.Context, int) (io.ReadSeeker, error) {
+	panic("boom")
+}
 func (panicBackend) Region(context.Context, int, []int, []int) (*query.FrameResult, error) {
 	panic("boom")
 }
@@ -298,10 +302,18 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
+// noPayloads refuses raw payload access, as a transport that hides
+// payloads would.
+type noPayloads struct{ api.Backend }
+
+func (noPayloads) PayloadReader(context.Context, int) (io.ReadSeeker, error) {
+	return nil, api.Errorf(api.CodeNotSupported, "backend does not expose raw payloads")
+}
+
 func TestPayloadNotSupported(t *testing.T) {
-	// A Backend without the optional Payloads capability answers the
-	// payload route with not_supported, not a panic or a 404.
-	srv := httptest.NewServer(New(panicBackend{}, nil, Options{}))
+	// A Backend that cannot serve payloads answers the payload route
+	// with not_supported, not a panic or a 404.
+	srv := httptest.NewServer(New(noPayloads{buildLocal(t, 1, 8, 8)}, nil, Options{}))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/v1/frames/0/payload")
 	if err != nil {
@@ -361,12 +373,16 @@ func TestInvalidRequestNeverShortCircuitsTo304(t *testing.T) {
 	}
 }
 
-// noResolver hides Local's optional capabilities behind the bare
-// Backend interface, forcing the handler's index-scan fallback.
-type noResolver struct{ api.Backend }
-
 func TestFrameRoutesWithoutResolver(t *testing.T) {
-	srv := httptest.NewServer(New(noResolver{buildLocal(t, 3, 8, 8)}, nil, Options{}))
+	// A proxy mount has no O(1) label index: the Client behind it
+	// resolves labels by scanning the origin's frame index.
+	origin := httptest.NewServer(New(buildLocal(t, 3, 8, 8), nil, Options{}))
+	defer origin.Close()
+	c, err := api.NewClient(origin.URL, api.ClientOptions{HTTPClient: origin.Client()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(New(c, nil, Options{}))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/v1/frames/2/stats?aggs=mean")
 	if err != nil {

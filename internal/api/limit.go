@@ -1,7 +1,6 @@
 package api
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -39,12 +38,15 @@ const DefaultQueueWait = time.Second
 // the backend — under overload the service degrades to fast, honest
 // rejections with bounded latency rather than collapsing into timeouts.
 //
-// Decorating the Backend rather than the HTTP handler keeps the
-// behavior transport-agnostic: an in-process Local, a Sharded dataset,
-// and a remote Client all shed identically, and the conformance suite
-// exercises the 429 path against each. Cheap index reads (Spec, Frames,
-// FrameInfo) bypass the limiter — only routes that decode or read
-// payloads compete for slots.
+// Limited only limits: it has exactly the methods of the backend it
+// wraps — the Backend method set, plus Ingest when the inner backend is
+// an Ingestor — and answers each by forwarding. Decorating the Backend
+// rather than the HTTP handler keeps the behavior transport-agnostic:
+// an in-process Local, a Sharded dataset, and a remote Client all shed
+// identically, and the conformance suite exercises the 429 path
+// against each. Cheap index reads (Spec, Frames, FrameInfo) bypass the
+// limiter — only routes that decode or read payloads compete for
+// slots.
 type Limited struct {
 	b     Backend
 	slots chan struct{}
@@ -58,8 +60,9 @@ type Limited struct {
 	waits *obs.Histogram
 }
 
-// Limit wraps b with admission control. With opts.MaxConcurrent ≤ 0 it
-// returns b unchanged.
+// Limit wraps b with admission control. The result is an Ingestor
+// exactly when b is one. With opts.MaxConcurrent ≤ 0 it returns b
+// unchanged.
 func Limit(b Backend, opts LimitOptions) Backend {
 	if opts.MaxConcurrent <= 0 {
 		return b
@@ -72,17 +75,18 @@ func Limit(b Backend, opts LimitOptions) Backend {
 	if queue < 0 {
 		queue = 0
 	}
-	return &Limited{
+	l := &Limited{
 		b:     b,
 		slots: make(chan struct{}, opts.MaxConcurrent),
 		queue: make(chan struct{}, queue),
 		wait:  wait,
 		waits: obs.NewHistogramWith(nil),
 	}
+	if ing, ok := b.(Ingestor); ok {
+		return &limitedIngestor{Limited: l, ing: ing}
+	}
+	return l
 }
-
-// Unwrap exposes the decorated backend (capability probes and tests).
-func (l *Limited) Unwrap() Backend { return l.b }
 
 func overloadedf(format string, args ...any) *Error {
 	return &Error{Code: CodeOverloaded, Message: fmt.Sprintf(format, args...), err: ErrOverloaded}
@@ -164,6 +168,17 @@ func (l *Limited) acquire(ctx context.Context) (release func(), err error) {
 	}
 }
 
+// admit runs fn holding an execution slot, or sheds without running it.
+func admit[T any](ctx context.Context, l *Limited, fn func() (T, error)) (T, error) {
+	release, err := l.acquire(ctx)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	defer release()
+	return fn()
+}
+
 // Index reads pass through unlimited: they touch only the in-memory
 // frame index and cost less than the bookkeeping to limit them.
 
@@ -171,109 +186,43 @@ func (l *Limited) Spec(ctx context.Context) (StoreInfo, error) { return l.b.Spec
 
 func (l *Limited) Frames(ctx context.Context) ([]FrameInfo, error) { return l.b.Frames(ctx) }
 
-// FrameInfo forwards the FrameResolver capability when the inner
-// backend has it, unlimited like the other index reads.
 func (l *Limited) FrameInfo(ctx context.Context, label int) (FrameInfo, error) {
-	fr, ok := l.b.(FrameResolver)
-	if !ok {
-		return FrameInfo{}, Errorf(CodeNotSupported, "backend does not resolve single frames")
-	}
-	return fr.FrameInfo(ctx, label)
+	return l.b.FrameInfo(ctx, label)
 }
 
 func (l *Limited) Frame(ctx context.Context, label int) (*Frame, error) {
-	release, err := l.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return l.b.Frame(ctx, label)
+	return admit(ctx, l, func() (*Frame, error) { return l.b.Frame(ctx, label) })
+}
+
+// PayloadReader holds a slot only until the reader is handed back, not
+// while the response streams: the bytes are already positioned (mmap,
+// file offset, or a fetched buffer) and the copy costs no decode work.
+func (l *Limited) PayloadReader(ctx context.Context, label int) (io.ReadSeeker, error) {
+	return admit(ctx, l, func() (io.ReadSeeker, error) { return l.b.PayloadReader(ctx, label) })
 }
 
 func (l *Limited) Region(ctx context.Context, label int, offset, shape []int) (*query.FrameResult, error) {
-	release, err := l.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return l.b.Region(ctx, label, offset, shape)
+	return admit(ctx, l, func() (*query.FrameResult, error) { return l.b.Region(ctx, label, offset, shape) })
 }
 
 func (l *Limited) Stats(ctx context.Context, label int, aggs []string) (*query.FrameResult, error) {
-	release, err := l.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return l.b.Stats(ctx, label, aggs)
+	return admit(ctx, l, func() (*query.FrameResult, error) { return l.b.Stats(ctx, label, aggs) })
 }
 
 func (l *Limited) Query(ctx context.Context, req *query.Request) (*query.Result, error) {
-	release, err := l.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return l.b.Query(ctx, req)
+	return admit(ctx, l, func() (*query.Result, error) { return l.b.Query(ctx, req) })
 }
 
-// Ingest forwards the Ingestor capability under the limiter: an
-// ingest batch runs the compression pipeline, which is decode-class
-// CPU work, so batches compete for the same slots as queries and shed
-// with 429 + Retry-After under overload — exactly what a well-behaved
-// producer backs off on.
-func (l *Limited) Ingest(ctx context.Context, frames []IngestFrame) (*IngestResult, error) {
-	ing, ok := l.b.(Ingestor)
-	if !ok {
-		return nil, Errorf(CodeNotSupported, "backend does not accept ingest")
-	}
-	release, err := l.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return ing.Ingest(ctx, frames)
+// limitedIngestor is the Limited of an Ingestor.
+type limitedIngestor struct {
+	*Limited
+	ing Ingestor
 }
 
-// Payload forwards the Payloads capability under the limiter.
-func (l *Limited) Payload(ctx context.Context, label int) ([]byte, error) {
-	p, ok := l.b.(Payloads)
-	if !ok {
-		return nil, Errorf(CodeNotSupported, "backend does not expose raw payloads")
-	}
-	release, err := l.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return p.Payload(ctx, label)
-}
-
-// PayloadReader forwards the PayloadStreamer capability under the
-// limiter, degrading to a Payloads fetch wrapped in a bytes.Reader when
-// the inner backend only serves whole payloads (Client) — the wrapper
-// always streams, so the HTTP layer needs no capability re-probing
-// through the decorator. The slot is released when the reader is handed
-// back, not when the response finishes streaming — the bytes are
-// already positioned (mmap or file offset) and the copy costs no decode
-// work.
-func (l *Limited) PayloadReader(ctx context.Context, label int) (io.ReadSeeker, error) {
-	ps, psOK := l.b.(PayloadStreamer)
-	p, pOK := l.b.(Payloads)
-	if !psOK && !pOK {
-		return nil, Errorf(CodeNotSupported, "backend does not expose raw payloads")
-	}
-	release, err := l.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if psOK {
-		return ps.PayloadReader(ctx, label)
-	}
-	payload, err := p.Payload(ctx, label)
-	if err != nil {
-		return nil, err
-	}
-	return bytes.NewReader(payload), nil
+// Ingest runs under the limiter: an ingest batch runs the compression
+// pipeline, which is decode-class CPU work, so batches compete for the
+// same slots as queries and shed with 429 + Retry-After under overload
+// — exactly what a well-behaved producer backs off on.
+func (l *limitedIngestor) Ingest(ctx context.Context, frames []IngestFrame) (*IngestResult, error) {
+	return admit(ctx, l.Limited, func() (*IngestResult, error) { return l.ing.Ingest(ctx, frames) })
 }

@@ -4,26 +4,44 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strconv"
 
 	"repro/internal/query"
 	"repro/internal/store"
+	"repro/internal/tensor"
 )
 
-// Local is the in-process Backend: a store.Reader for frame access and
-// a query.Engine for compressed-domain work. Every error it returns is
-// already classified (*Error), so the HTTP layer and CLI render it
-// without re-inspecting causes; the original error stays reachable
-// through Unwrap.
+// source is the frame collection a Local serves. *store.Reader (one
+// store file) and *shard.Dataset (a sharded dataset, positions global
+// in manifest order) share this method set.
+type source interface {
+	Spec() string
+	Specs() []string
+	MixedCodec() bool
+	FrameSpec(i int) string
+	Len() int
+	Info(i int) store.FrameInfo
+	IndexOf(label int) (int, bool)
+	Decompress(i int) (*tensor.Tensor, error)
+	PayloadReader(i int) (*io.SectionReader, error)
+	Close() error
+}
+
+// Local is the in-process Backend: a frame source for index and frame
+// access plus the query runner for compressed-domain work — a
+// query.Engine over a store file, or a sharded dataset's scatter-gather
+// executor (see Sharded). Every error it returns is already classified
+// (*Error), so the HTTP layer and CLI render it without re-inspecting
+// causes; the original error stays reachable through Unwrap.
 type Local struct {
-	r   *store.Reader
-	eng *query.Engine
+	src    source
+	run    func(context.Context, *query.Request) (*query.Result, error)
+	shards int // StoreInfo.Shards: 0 for a single store
 }
 
 // NewLocal wraps an open store reader and its query engine. The caller
 // keeps ownership of r (and closes it).
 func NewLocal(r *store.Reader, eng *query.Engine) *Local {
-	return &Local{r: r, eng: eng}
+	return &Local{src: r, run: eng.Run}
 }
 
 // OpenLocal opens the store at path with a fresh engine, memory-mapped
@@ -38,21 +56,16 @@ func OpenLocal(path string, opts query.Options) (*Local, error) {
 	return NewLocal(r, query.New(r, opts)), nil
 }
 
-// Close releases the store file handle when the Local owns one (built
-// by OpenLocal or over a reader from store.Open).
-func (l *Local) Close() error { return l.r.Close() }
-
-// Reader exposes the underlying store reader, for callers that need
-// store-level access (e.g. the inspect CLI's byte accounting).
-func (l *Local) Reader() *store.Reader { return l.r }
+// Close releases the source's file handles.
+func (l *Local) Close() error { return l.src.Close() }
 
 func (l *Local) Spec(ctx context.Context) (StoreInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return StoreInfo{}, FromError(err)
 	}
-	info := StoreInfo{Spec: l.r.Spec(), Frames: l.r.Len()}
-	if l.r.MixedCodec() {
-		info.Specs = l.r.Specs()
+	info := StoreInfo{Spec: l.src.Spec(), Frames: l.src.Len(), Shards: l.shards}
+	if l.src.MixedCodec() {
+		info.Specs = l.src.Specs()
 	}
 	return info, nil
 }
@@ -61,16 +74,16 @@ func (l *Local) Frames(ctx context.Context) ([]FrameInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, FromError(err)
 	}
-	infos := make([]FrameInfo, l.r.Len())
+	infos := make([]FrameInfo, l.src.Len())
 	for i := range infos {
 		infos[i] = l.frameInfoAt(i)
 	}
 	return infos, nil
 }
 
-// frameInfoAt converts the index entry at store position i.
+// frameInfoAt converts the index entry at position i.
 func (l *Local) frameInfoAt(i int) FrameInfo {
-	e := l.r.Info(i)
+	e := l.src.Info(i)
 	info := FrameInfo{
 		Index:  i,
 		Label:  e.Label,
@@ -78,28 +91,29 @@ func (l *Local) frameInfoAt(i int) FrameInfo {
 		Length: e.Length,
 		CRC32:  fmt.Sprintf("%08x", e.CRC32),
 	}
-	if spec := l.r.FrameSpec(i); spec != l.r.Spec() {
+	if spec := l.src.FrameSpec(i); spec != l.src.Spec() {
 		info.Spec = spec
 	}
 	return info
 }
 
-// indexOf resolves a label to its store position.
-func (l *Local) indexOf(label int) (int, error) {
-	i, ok := l.r.IndexOf(label)
+// indexOf resolves a label to its position, after the context check
+// every per-frame method starts with.
+func (l *Local) indexOf(ctx context.Context, label int) (int, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, FromError(err)
+	}
+	i, ok := l.src.IndexOf(label)
 	if !ok {
-		return 0, &Error{Code: CodeNotFound, Message: fmt.Sprintf("no frame with label %d", label), err: ErrNotFound}
+		return 0, notFound(label)
 	}
 	return i, nil
 }
 
-// FrameInfo resolves one label through the store's label index — the
-// O(1) FrameResolver capability behind the per-frame HTTP routes.
+// FrameInfo resolves one label in O(1) through the source's label
+// index.
 func (l *Local) FrameInfo(ctx context.Context, label int) (FrameInfo, error) {
-	if err := ctx.Err(); err != nil {
-		return FrameInfo{}, FromError(err)
-	}
-	i, err := l.indexOf(label)
+	i, err := l.indexOf(ctx, label)
 	if err != nil {
 		return FrameInfo{}, err
 	}
@@ -107,83 +121,41 @@ func (l *Local) FrameInfo(ctx context.Context, label int) (FrameInfo, error) {
 }
 
 func (l *Local) Frame(ctx context.Context, label int) (*Frame, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, FromError(err)
-	}
-	i, err := l.indexOf(label)
+	i, err := l.indexOf(ctx, label)
 	if err != nil {
 		return nil, err
 	}
-	t, err := l.r.Decompress(i)
+	t, err := l.src.Decompress(i)
 	if err != nil {
 		return nil, FromError(err)
 	}
 	return &Frame{Label: label, Shape: t.Shape(), Data: t.Data()}, nil
 }
 
-func (l *Local) Payload(ctx context.Context, label int) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, FromError(err)
-	}
-	i, err := l.indexOf(label)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := l.r.Payload(i)
-	if err != nil {
-		return nil, FromError(err)
-	}
-	return payload, nil
-}
-
-// PayloadReader is the PayloadStreamer capability: a positioned reader
-// over the verified payload, zero-copy from the store's memory mapping
-// when it has one.
+// PayloadReader is a positioned reader over the verified payload,
+// zero-copy from the store's memory mapping when it has one.
 func (l *Local) PayloadReader(ctx context.Context, label int) (io.ReadSeeker, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, FromError(err)
-	}
-	i, err := l.indexOf(label)
+	i, err := l.indexOf(ctx, label)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := l.r.PayloadReader(i)
+	rs, err := l.src.PayloadReader(i)
 	if err != nil {
 		return nil, FromError(err)
 	}
 	return rs, nil
 }
 
-// frameQuery runs a query scoped to one frame and returns that frame's
-// result. Selection uses the canonical decimal label so resolution
-// matches Frame/Payload exactly.
-func (l *Local) frameQuery(ctx context.Context, label int, req *query.Request) (*query.FrameResult, error) {
-	if _, err := l.indexOf(label); err != nil {
-		return nil, err
-	}
-	req.Select = query.Selector{Labels: strconv.Itoa(label)}
-	res, err := l.Query(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	return &res.Frames[0], nil
-}
-
 func (l *Local) Stats(ctx context.Context, label int, aggs []string) (*query.FrameResult, error) {
-	if len(aggs) == 0 {
-		aggs = AllAggregates
-	}
-	return l.frameQuery(ctx, label, &query.Request{Aggregates: aggs})
+	return FrameQuery(ctx, l, label, query.Request{Aggregates: aggs})
 }
 
 func (l *Local) Region(ctx context.Context, label int, offset, shape []int) (*query.FrameResult, error) {
-	return l.frameQuery(ctx, label, &query.Request{
-		Region: &query.RegionRequest{Offset: offset, Shape: shape},
-	})
+	return FrameQuery(ctx, l, label, query.Request{Region: &query.RegionRequest{Offset: offset, Shape: shape}})
 }
 
 func (l *Local) Query(ctx context.Context, req *query.Request) (*query.Result, error) {
-	res, err := l.eng.Run(ctx, req)
+	res, err := l.run(ctx, req)
 	if err != nil {
 		return nil, FromError(err)
 	}

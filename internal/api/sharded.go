@@ -1,36 +1,24 @@
 package api
 
 import (
-	"context"
-	"fmt"
-	"io"
-	"strconv"
-
 	"repro/internal/query"
 	"repro/internal/shard"
 )
 
-// Sharded serves the full optional capability set a Local does.
-var _ interface {
-	Backend
-	FrameResolver
-	Payloads
-	PayloadStreamer
-} = (*Sharded)(nil)
-
-// Sharded is the Backend over a sharded dataset (internal/shard): the
-// same v1 contract Local serves for one store file, answered by
-// scatter-gather across the dataset's shards. The HTTP layer mounts it
-// exactly like a store — which is how /v1/datasets/{name}/query works —
-// and the CLI accepts a manifest path wherever it accepts a store path.
-// Frame positions in results are global (manifest order); FrameInfo
-// offsets are relative to the owning shard's file.
-type Sharded struct {
-	ds *shard.Dataset
-}
+// Sharded is Local over a sharded dataset (internal/shard): the same v1
+// contract Local serves for one store file, with frame positions global
+// in manifest order and queries answered by the dataset's
+// scatter-gather executor. Spec additionally reports the shard count.
+// The HTTP layer mounts it exactly like a store — which is how
+// /v1/datasets/{name}/query works — and the CLI accepts a manifest path
+// wherever it accepts a store path. FrameInfo offsets are relative to
+// the owning shard's file.
+type Sharded struct{ Local }
 
 // NewSharded wraps an open dataset. The caller keeps ownership of ds.
-func NewSharded(ds *shard.Dataset) *Sharded { return &Sharded{ds: ds} }
+func NewSharded(ds *shard.Dataset) *Sharded {
+	return &Sharded{Local{src: ds, run: ds.Query, shards: ds.Shards()}}
+}
 
 // OpenSharded opens the dataset described by the manifest at path.
 // Close releases the shard file handles.
@@ -42,152 +30,6 @@ func OpenSharded(path string, opts query.Options) (*Sharded, error) {
 	return NewSharded(ds), nil
 }
 
-// Close releases every shard's file handle.
-func (s *Sharded) Close() error { return s.ds.Close() }
-
 // Dataset exposes the underlying dataset, for callers that need
 // shard-level access.
-func (s *Sharded) Dataset() *shard.Dataset { return s.ds }
-
-func (s *Sharded) Spec(ctx context.Context) (StoreInfo, error) {
-	if err := ctx.Err(); err != nil {
-		return StoreInfo{}, FromError(err)
-	}
-	info := StoreInfo{Spec: s.ds.Spec(), Frames: s.ds.Len(), Shards: s.ds.Shards()}
-	if s.ds.MixedCodec() {
-		info.Specs = s.ds.Specs()
-	}
-	return info, nil
-}
-
-func (s *Sharded) Frames(ctx context.Context) ([]FrameInfo, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, FromError(err)
-	}
-	infos := make([]FrameInfo, s.ds.Len())
-	for i := range infos {
-		infos[i] = s.frameInfoAt(i)
-	}
-	return infos, nil
-}
-
-// frameInfoAt converts the index entry at global position i.
-func (s *Sharded) frameInfoAt(i int) FrameInfo {
-	e := s.ds.Info(i)
-	info := FrameInfo{
-		Index:  i,
-		Label:  e.Label,
-		Offset: e.Offset,
-		Length: e.Length,
-		CRC32:  fmt.Sprintf("%08x", e.CRC32),
-	}
-	if spec := s.ds.FrameSpec(i); spec != s.ds.Spec() {
-		info.Spec = spec
-	}
-	return info
-}
-
-// indexOf resolves a label to its global position.
-func (s *Sharded) indexOf(label int) (int, error) {
-	i, ok := s.ds.IndexOf(label)
-	if !ok {
-		return 0, &Error{Code: CodeNotFound, Message: fmt.Sprintf("no frame with label %d", label), err: ErrNotFound}
-	}
-	return i, nil
-}
-
-// FrameInfo resolves one label through the dataset's global label index
-// — the O(1) FrameResolver capability behind the per-frame HTTP routes.
-func (s *Sharded) FrameInfo(ctx context.Context, label int) (FrameInfo, error) {
-	if err := ctx.Err(); err != nil {
-		return FrameInfo{}, FromError(err)
-	}
-	i, err := s.indexOf(label)
-	if err != nil {
-		return FrameInfo{}, err
-	}
-	return s.frameInfoAt(i), nil
-}
-
-func (s *Sharded) Frame(ctx context.Context, label int) (*Frame, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, FromError(err)
-	}
-	i, err := s.indexOf(label)
-	if err != nil {
-		return nil, err
-	}
-	t, err := s.ds.Decompress(i)
-	if err != nil {
-		return nil, FromError(err)
-	}
-	return &Frame{Label: label, Shape: t.Shape(), Data: t.Data()}, nil
-}
-
-// Payload serves the raw compressed bytes from the owning shard, so a
-// dataset mount supports the payload route like a store mount does.
-func (s *Sharded) Payload(ctx context.Context, label int) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, FromError(err)
-	}
-	i, err := s.indexOf(label)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := s.ds.Payload(i)
-	if err != nil {
-		return nil, FromError(err)
-	}
-	return payload, nil
-}
-
-// PayloadReader is the PayloadStreamer capability: a positioned reader
-// over the verified payload bytes in the owning shard.
-func (s *Sharded) PayloadReader(ctx context.Context, label int) (io.ReadSeeker, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, FromError(err)
-	}
-	i, err := s.indexOf(label)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := s.ds.PayloadReader(i)
-	if err != nil {
-		return nil, FromError(err)
-	}
-	return rs, nil
-}
-
-// frameQuery runs a query scoped to one frame, mirroring Local.
-func (s *Sharded) frameQuery(ctx context.Context, label int, req *query.Request) (*query.FrameResult, error) {
-	if _, err := s.indexOf(label); err != nil {
-		return nil, err
-	}
-	req.Select = query.Selector{Labels: strconv.Itoa(label)}
-	res, err := s.Query(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	return &res.Frames[0], nil
-}
-
-func (s *Sharded) Stats(ctx context.Context, label int, aggs []string) (*query.FrameResult, error) {
-	if len(aggs) == 0 {
-		aggs = AllAggregates
-	}
-	return s.frameQuery(ctx, label, &query.Request{Aggregates: aggs})
-}
-
-func (s *Sharded) Region(ctx context.Context, label int, offset, shape []int) (*query.FrameResult, error) {
-	return s.frameQuery(ctx, label, &query.Request{
-		Region: &query.RegionRequest{Offset: offset, Shape: shape},
-	})
-}
-
-func (s *Sharded) Query(ctx context.Context, req *query.Request) (*query.Result, error) {
-	res, err := s.ds.Query(ctx, req)
-	if err != nil {
-		return nil, FromError(err)
-	}
-	return res, nil
-}
+func (s *Sharded) Dataset() *shard.Dataset { return s.src.(*shard.Dataset) }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -11,21 +12,10 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/codec"
-	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/store"
 	"repro/internal/tensor"
 )
-
-// Coordinator serves the optional capabilities a remote tier can:
-// O(1) label resolution from the discovered inventory and payload
-// bytes proxied from the owning shard. PayloadStreamer is deliberately
-// absent — the coordinator holds no file to seek in.
-var _ interface {
-	api.Backend
-	api.FrameResolver
-	api.Payloads
-} = (*Coordinator)(nil)
 
 // Options tunes a Coordinator beyond what the topology file carries —
 // the knobs that belong to the process, not the cluster.
@@ -52,9 +42,9 @@ type ref struct {
 // Local over the concatenated data. At open it discovers every shard's
 // frame inventory over the wire and freezes the global frame order
 // (topology order, shard-local commit order within); queries compile
-// against that view, scatter to the owning shards concurrently on the
-// shared tensor pool, and gather with the same merge rules
-// internal/shard uses in process.
+// against that view and run through the same query.Scatter
+// internal/shard uses in process, with a part runner that calls the
+// owning shard's replicas over HTTP.
 type Coordinator struct {
 	topo   *Topology
 	ring   *Ring
@@ -66,6 +56,7 @@ type Coordinator struct {
 	finfos []store.FrameInfo // same entries for query.Compile
 	labels map[int]int       // label → global position
 	refs   []ref
+	sg     *query.Scatter
 
 	probeHC  *http.Client
 	stop     chan struct{}
@@ -106,10 +97,9 @@ func New(topo *Topology, opts Options) (*Coordinator, error) {
 	if c.probeHC == nil {
 		c.probeHC = http.DefaultClient
 	}
-	for s, sh := range topo.Shards {
+	for _, sh := range topo.Shards {
 		g := &group{
 			name:      sh.Name,
-			index:     s,
 			cooldown:  topo.Probe.cooldown(),
 			downAfter: topo.Probe.downAfter(),
 		}
@@ -124,6 +114,18 @@ func New(topo *Topology, opts Options) (*Coordinator, error) {
 	}
 	if err := c.discover(context.Background()); err != nil {
 		return nil, err
+	}
+	c.sg = &query.Scatter{
+		Span: "cluster.scatter", Owners: len(c.groups), Spec: c.spec, Specs: c.specs,
+		Locate:  func(i int) (int, int) { return c.refs[i].group, c.refs[i].local },
+		Seconds: clusterScatterSeconds,
+		Part: func(ctx context.Context, p query.Part, sub *query.Request) (res *query.Result, err error) {
+			err = c.groups[p.Owner].call(ctx, uint64(p.From), func(cl *api.Client) (err error) {
+				res, err = cl.Query(ctx, sub)
+				return err
+			})
+			return res, err
+		},
 	}
 	if !opts.DisableProbes {
 		c.probeWG.Add(1)
@@ -192,8 +194,6 @@ func (c *Coordinator) discover(ctx context.Context) error {
 				c.specs = append(c.specs, spec)
 			}
 		}
-		g.base = len(c.refs)
-		g.count = len(inv.index)
 		for local, e := range inv.index {
 			if prev, dup := c.labels[e.Label]; dup {
 				return api.Errorf(api.CodeInternal, "label %d on shard %s duplicates global frame %d",
@@ -277,8 +277,12 @@ func (c *Coordinator) Frames(ctx context.Context) ([]api.FrameInfo, error) {
 	return append([]api.FrameInfo(nil), c.infos...), nil
 }
 
-// indexOf resolves a label to its global position.
-func (c *Coordinator) indexOf(label int) (int, error) {
+// indexOf resolves a label to its global position, after the context
+// check every per-frame method starts with.
+func (c *Coordinator) indexOf(ctx context.Context, label int) (int, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, api.FromError(err)
+	}
 	i, ok := c.labels[label]
 	if !ok {
 		return 0, api.FromError(fmt.Errorf("no frame with label %d: %w", label, api.ErrNotFound))
@@ -286,105 +290,49 @@ func (c *Coordinator) indexOf(label int) (int, error) {
 	return i, nil
 }
 
-// FrameInfo resolves one label from the discovered inventory — the
-// O(1) FrameResolver capability, answered without a network hop.
+// FrameInfo resolves one label from the discovered inventory, without
+// a network hop.
 func (c *Coordinator) FrameInfo(ctx context.Context, label int) (api.FrameInfo, error) {
-	if err := ctx.Err(); err != nil {
-		return api.FrameInfo{}, api.FromError(err)
-	}
-	i, err := c.indexOf(label)
+	i, err := c.indexOf(ctx, label)
 	if err != nil {
 		return api.FrameInfo{}, err
 	}
 	return c.infos[i], nil
 }
 
-func (c *Coordinator) Frame(ctx context.Context, label int) (*api.Frame, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, api.FromError(err)
-	}
-	i, err := c.indexOf(label)
+// ownerCall runs fn against the replicas of the shard owning label,
+// with failover.
+func (c *Coordinator) ownerCall(ctx context.Context, label int, fn func(*api.Client) error) error {
+	i, err := c.indexOf(ctx, label)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	g := c.groups[c.refs[i].group]
-	var out *api.Frame
-	if err := g.call(ctx, c.ring.affinity(label), func(cl *api.Client) error {
-		f, err := cl.Frame(ctx, label)
-		if err != nil {
-			return err
-		}
-		out = f
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return c.groups[c.refs[i].group].call(ctx, c.ring.affinity(label), fn)
 }
 
-// Payload proxies the raw compressed bytes from the owning shard.
-func (c *Coordinator) Payload(ctx context.Context, label int) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, api.FromError(err)
-	}
-	i, err := c.indexOf(label)
-	if err != nil {
-		return nil, err
-	}
-	g := c.groups[c.refs[i].group]
-	var out []byte
-	if err := g.call(ctx, c.ring.affinity(label), func(cl *api.Client) error {
-		p, err := cl.Payload(ctx, label)
-		if err != nil {
-			return err
-		}
-		out = p
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+func (c *Coordinator) Frame(ctx context.Context, label int) (out *api.Frame, err error) {
+	err = c.ownerCall(ctx, label, func(cl *api.Client) (err error) {
+		out, err = cl.Frame(ctx, label)
+		return err
+	})
+	return out, err
 }
 
-// frameCall routes a per-frame request to the owning shard and remaps
-// the answer's index to the global position.
-func (c *Coordinator) frameCall(ctx context.Context, label int, fn func(*api.Client) (*query.FrameResult, error)) (*query.FrameResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, api.FromError(err)
-	}
-	i, err := c.indexOf(label)
-	if err != nil {
-		return nil, err
-	}
-	g := c.groups[c.refs[i].group]
-	var out *query.FrameResult
-	if err := g.call(ctx, c.ring.affinity(label), func(cl *api.Client) error {
-		fr, err := fn(cl)
-		if err != nil {
-			return err
-		}
-		out = fr
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	out.Index = i
-	return out, nil
+// PayloadReader proxies the raw compressed bytes from the owning shard.
+func (c *Coordinator) PayloadReader(ctx context.Context, label int) (out io.ReadSeeker, err error) {
+	err = c.ownerCall(ctx, label, func(cl *api.Client) (err error) {
+		out, err = cl.PayloadReader(ctx, label)
+		return err
+	})
+	return out, err
 }
 
 func (c *Coordinator) Stats(ctx context.Context, label int, aggs []string) (*query.FrameResult, error) {
-	if len(aggs) == 0 {
-		aggs = api.AllAggregates
-	}
-	return c.frameCall(ctx, label, func(cl *api.Client) (*query.FrameResult, error) {
-		return cl.Stats(ctx, label, aggs)
-	})
+	return api.FrameQuery(ctx, c, label, query.Request{Aggregates: aggs})
 }
 
 func (c *Coordinator) Region(ctx context.Context, label int, offset, shape []int) (*query.FrameResult, error) {
-	return c.frameCall(ctx, label, func(cl *api.Client) (*query.FrameResult, error) {
-		return cl.Region(ctx, label, offset, shape)
-	})
+	return api.FrameQuery(ctx, c, label, query.Request{Region: &query.RegionRequest{Offset: offset, Shape: shape}})
 }
 
 // Query answers req over the whole cluster with single-store
@@ -413,111 +361,26 @@ func (c *Coordinator) Query(ctx context.Context, req *query.Request) (*query.Res
 	return c.scatter(ctx, req, p.Frames(), p.Reduce())
 }
 
-// part is one shard's contiguous share of a resolved selection.
-type part struct {
-	g        *group
-	from, to int // local positions, half-open
-}
-
-// partsOf routes resolved global positions (ascending) to shards,
-// merging consecutive same-shard frames into one part — shards cover
-// contiguous global ranges, so each touched shard yields exactly one
-// sub-query.
-func (c *Coordinator) partsOf(frames []int) []part {
-	var parts []part
-	for _, global := range frames {
-		r := c.refs[global]
-		if n := len(parts); n > 0 && parts[n-1].g.index == r.group {
-			parts[n-1].to = r.local + 1
-			continue
-		}
-		parts = append(parts, part{g: c.groups[r.group], from: r.local, to: r.local + 1})
-	}
-	return parts
-}
-
-// subRequest scopes req to one part: same work, selection translated
-// to the shard's local index range. The window's endpoints are
-// themselves selected frames, so the label glob plus the local range
-// resolves to exactly the part's frames on the remote side.
-func subRequest(req *query.Request, p part) *query.Request {
-	sub := *req
-	from, to := p.from, p.to
-	sub.Select = query.Selector{Labels: req.Select.Labels, From: &from, To: &to}
-	return &sub
-}
-
-// scatter fans req out to the owning shards and gathers the partial
-// results in global order.
+// scatter fans req out to the shards owning frames and gathers the
+// partial results in global order.
 func (c *Coordinator) scatter(ctx context.Context, req *query.Request, frames []int, reduce []string) (*query.Result, error) {
-	parts := c.partsOf(frames)
+	parts := c.sg.Route(frames)
 	clusterParts.Add(uint64(len(parts)))
-	ctx, span := obs.DefaultTracer.Start(ctx, "cluster.scatter")
-	span.SetDetail("parts=%d/%d", len(parts), len(c.groups))
-	defer span.End()
-
-	results := make([]*query.Result, len(parts))
-	errs := make([]error, len(parts))
-	if err := tensor.ParallelForCoarseCtx(ctx, len(parts), func(j int) {
-		start := time.Now()
-		sub := subRequest(req, parts[j])
-		errs[j] = parts[j].g.call(ctx, uint64(parts[j].from), func(cl *api.Client) error {
-			res, err := cl.Query(ctx, sub)
-			if err != nil {
-				return err
-			}
-			results[j] = res
-			return nil
-		})
-		clusterScatterSeconds.ObserveDuration(time.Since(start))
-	}); err != nil {
+	res, err := c.sg.Run(ctx, req, parts, reduce)
+	if err != nil {
 		return nil, api.FromError(err)
 	}
-	if err := errors.Join(errs...); err != nil {
-		return nil, api.FromError(err)
-	}
-	return c.gather(reduce, parts, results)
-}
-
-// gather merges per-shard results into one cluster answer: frame
-// results concatenate in global order with indices remapped, the
-// compressed-space flag ANDs, and reduction partials fold through
-// query.Moments into the plan's normalized kind list.
-func (c *Coordinator) gather(reduce []string, parts []part, results []*query.Result) (*query.Result, error) {
-	out := &query.Result{Spec: c.spec, ExecutedInCompressedSpace: true}
-	if len(c.specs) > 1 {
-		out.Specs = append([]string(nil), c.specs...)
-	}
-	total := query.EmptyMoments()
-	for j, r := range results {
-		base := parts[j].g.base
-		for _, fr := range r.Frames {
-			fr.Index += base
-			out.Frames = append(out.Frames, fr)
-		}
-		out.ExecutedInCompressedSpace = out.ExecutedInCompressedSpace && r.ExecutedInCompressedSpace
-		if r.Reduced != nil {
-			total.Merge(r.Reduced.Moments)
-		}
-	}
-	if len(reduce) > 0 {
-		reduced, err := total.Reduced(reduce)
-		if err != nil {
-			return nil, api.FromError(err)
-		}
-		out.Reduced = reduced
-	}
-	return out, nil
+	return res, nil
 }
 
 // metricQuery answers a metric request. When every coupled frame — the
 // selection plus any reference — lives on one shard, the whole request
-// forwards there and runs on that shard's engine, compressed space and
-// all. Otherwise no single shard can see both sides, so the
-// coordinator fetches the decoded frames over the wire and computes
-// the metric itself with the engine's decode-fallback definitions,
-// while the request's other work (aggregates, regions, points,
-// reductions) still scatters compressed.
+// forwards there as a one-part scatter and runs on that shard's engine,
+// compressed space and all. Otherwise no single shard can see both
+// sides, so the coordinator fetches the decoded frames over the wire
+// and computes the metric itself with the engine's decode-fallback
+// definitions, while the request's other work (aggregates, regions,
+// points, reductions) still scatters compressed.
 func (c *Coordinator) metricQuery(ctx context.Context, req *query.Request, p *query.Plan) (*query.Result, error) {
 	sel := p.Frames()
 	m := *req.Metric
@@ -531,11 +394,11 @@ func (c *Coordinator) metricQuery(ctx context.Context, req *query.Request, p *qu
 	}
 	refGlobal := -1
 	if m.Against != nil {
-		refGlobal, _ = c.indexOf(*m.Against) // existence validated by Compile
+		refGlobal = c.labels[*m.Against] // existence validated by Compile
 		oneShard = oneShard && c.refs[refGlobal].group == owner
 	}
 	if oneShard {
-		return c.forwardMetric(ctx, req, sel, c.groups[owner])
+		return c.scatter(ctx, req, sel, p.Reduce())
 	}
 
 	// The non-metric work of the request still merges exactly.
@@ -599,39 +462,6 @@ func (c *Coordinator) metricQuery(ctx context.Context, req *query.Request, p *qu
 	return res, nil
 }
 
-// forwardMetric sends a metric request whose coupled frames all live
-// on one shard to that shard whole, preserving its engine's
-// compressed-space execution, and remaps the answer to the global
-// view.
-func (c *Coordinator) forwardMetric(ctx context.Context, req *query.Request, sel []int, g *group) (*query.Result, error) {
-	from := c.refs[sel[0]].local
-	to := c.refs[sel[len(sel)-1]].local + 1
-	sub := *req
-	sub.Select = query.Selector{Labels: req.Select.Labels, From: &from, To: &to}
-	clusterParts.Inc()
-	var res *query.Result
-	if err := g.call(ctx, uint64(from), func(cl *api.Client) error {
-		r, err := cl.Query(ctx, &sub)
-		if err != nil {
-			return err
-		}
-		res = r
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	for i := range res.Frames {
-		res.Frames[i].Index += g.base
-	}
-	res.Spec = c.spec
-	if len(c.specs) > 1 {
-		res.Specs = append([]string(nil), c.specs...)
-	} else {
-		res.Specs = nil
-	}
-	return res, nil
-}
-
 // skeleton builds the per-frame result list a metric-only request
 // carries: one entry per selected frame in global order, to hang
 // metric values off.
@@ -650,21 +480,12 @@ func (c *Coordinator) skeleton(sel []int) *query.Result {
 // fetchDecoded pulls one frame fully decompressed from its owning
 // shard, with replica failover.
 func (c *Coordinator) fetchDecoded(ctx context.Context, global int) (*tensor.Tensor, error) {
-	label := c.infos[global].Label
-	g := c.groups[c.refs[global].group]
-	var t *tensor.Tensor
-	if err := g.call(ctx, c.ring.affinity(label), func(cl *api.Client) error {
-		f, err := cl.Frame(ctx, label)
-		if err != nil {
-			return err
-		}
-		t = tensor.FromSlice(f.Data, f.Shape...)
-		return nil
-	}); err != nil {
+	f, err := c.Frame(ctx, c.infos[global].Label)
+	if err != nil {
 		return nil, err
 	}
 	clusterRemoteFrames.Inc()
-	return t, nil
+	return tensor.FromSlice(f.Data, f.Shape...), nil
 }
 
 // ---- health probes ---------------------------------------------------

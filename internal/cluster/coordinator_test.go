@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http/httptest"
@@ -480,7 +481,7 @@ func TestProbeStateMachine(t *testing.T) {
 	}
 }
 
-// TestCoordinatorPayloadProxy checks the Payloads capability: the
+// TestCoordinatorPayloadProxy checks the payload route: the
 // coordinator serves each frame's raw compressed bytes, identical to
 // the local sharded backend over the same files.
 func TestCoordinatorPayloadProxy(t *testing.T) {
@@ -494,11 +495,11 @@ func TestCoordinatorPayloadProxy(t *testing.T) {
 	t.Cleanup(func() { local.Close() })
 	ctx := context.Background()
 	for label := 0; label < conformance.FrameCount; label++ {
-		want, err := local.Payload(ctx, label)
+		want, err := payloadOf(ctx, local, label)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := co.Payload(ctx, label)
+		got, err := payloadOf(ctx, co, label)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -506,9 +507,18 @@ func TestCoordinatorPayloadProxy(t *testing.T) {
 			t.Errorf("frame %d payload differs: %d vs %d bytes", label, len(got), len(want))
 		}
 	}
-	if _, err := co.Payload(ctx, 99); api.CodeOf(err) != api.CodeNotFound {
+	if _, err := payloadOf(ctx, co, 99); api.CodeOf(err) != api.CodeNotFound {
 		t.Errorf("payload of missing frame: %v, want not_found", err)
 	}
+}
+
+// payloadOf reads a frame's raw payload through b's PayloadReader.
+func payloadOf(ctx context.Context, b api.Backend, label int) ([]byte, error) {
+	rs, err := b.PayloadReader(ctx, label)
+	if err != nil {
+		return nil, err
+	}
+	return io.ReadAll(rs)
 }
 
 // TestDiscoveryRejectsInconsistentShards covers the two startup

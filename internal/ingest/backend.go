@@ -8,62 +8,53 @@ import (
 	"repro/internal/query"
 )
 
-// api.Backend plus the optional capabilities, by delegation to the
-// current read generation: each call pins the view it starts on, so a
-// commit mid-query swaps generations without yanking the mapping out
-// from under the executor. Compile-time checks keep the Store a
-// drop-in for the HTTP layer.
+// The Store is a full api.Backend plus api.Ingestor, by delegation to
+// the current read generation: each call pins the view it starts on,
+// so a commit mid-query swaps generations without yanking the mapping
+// out from under the executor.
 var (
-	_ api.Backend         = (*Store)(nil)
-	_ api.Ingestor        = (*Store)(nil)
-	_ api.Payloads        = (*Store)(nil)
-	_ api.PayloadStreamer = (*Store)(nil)
-	_ api.FrameResolver   = (*Store)(nil)
+	_ api.Backend  = (*Store)(nil)
+	_ api.Ingestor = (*Store)(nil)
 )
 
-func (s *Store) Spec(ctx context.Context) (api.StoreInfo, error) {
+// withView runs fn on the current read generation, pinned for the
+// call.
+func withView[T any](s *Store, fn func(*api.Local) (T, error)) (T, error) {
 	v, err := s.acquireView()
 	if err != nil {
-		return api.StoreInfo{}, err
+		var zero T
+		return zero, err
 	}
 	defer v.release()
-	return v.local.Spec(ctx)
+	return fn(v.local)
+}
+
+func (s *Store) Spec(ctx context.Context) (api.StoreInfo, error) {
+	return withView(s, func(l *api.Local) (api.StoreInfo, error) { return l.Spec(ctx) })
 }
 
 func (s *Store) Frames(ctx context.Context) ([]api.FrameInfo, error) {
-	v, err := s.acquireView()
-	if err != nil {
-		return nil, err
-	}
-	defer v.release()
-	return v.local.Frames(ctx)
-}
-
-func (s *Store) Frame(ctx context.Context, label int) (*api.Frame, error) {
-	v, err := s.acquireView()
-	if err != nil {
-		return nil, err
-	}
-	defer v.release()
-	return v.local.Frame(ctx, label)
+	return withView(s, func(l *api.Local) ([]api.FrameInfo, error) { return l.Frames(ctx) })
 }
 
 func (s *Store) FrameInfo(ctx context.Context, label int) (api.FrameInfo, error) {
-	v, err := s.acquireView()
-	if err != nil {
-		return api.FrameInfo{}, err
-	}
-	defer v.release()
-	return v.local.FrameInfo(ctx, label)
+	return withView(s, func(l *api.Local) (api.FrameInfo, error) { return l.FrameInfo(ctx, label) })
 }
 
-func (s *Store) Payload(ctx context.Context, label int) ([]byte, error) {
-	v, err := s.acquireView()
-	if err != nil {
-		return nil, err
-	}
-	defer v.release()
-	return v.local.Payload(ctx, label)
+func (s *Store) Frame(ctx context.Context, label int) (*api.Frame, error) {
+	return withView(s, func(l *api.Local) (*api.Frame, error) { return l.Frame(ctx, label) })
+}
+
+func (s *Store) Query(ctx context.Context, req *query.Request) (*query.Result, error) {
+	return withView(s, func(l *api.Local) (*query.Result, error) { return l.Query(ctx, req) })
+}
+
+func (s *Store) Stats(ctx context.Context, label int, aggs []string) (*query.FrameResult, error) {
+	return api.FrameQuery(ctx, s, label, query.Request{Aggregates: aggs})
+}
+
+func (s *Store) Region(ctx context.Context, label int, offset, shape []int) (*query.FrameResult, error) {
+	return api.FrameQuery(ctx, s, label, query.Request{Region: &query.RegionRequest{Offset: offset, Shape: shape}})
 }
 
 // PayloadReader pins the view for the returned reader's whole
@@ -96,31 +87,4 @@ func (p *pinnedReader) Close() error {
 		p.v = nil
 	}
 	return nil
-}
-
-func (s *Store) Stats(ctx context.Context, label int, aggs []string) (*query.FrameResult, error) {
-	v, err := s.acquireView()
-	if err != nil {
-		return nil, err
-	}
-	defer v.release()
-	return v.local.Stats(ctx, label, aggs)
-}
-
-func (s *Store) Region(ctx context.Context, label int, offset, shape []int) (*query.FrameResult, error) {
-	v, err := s.acquireView()
-	if err != nil {
-		return nil, err
-	}
-	defer v.release()
-	return v.local.Region(ctx, label, offset, shape)
-}
-
-func (s *Store) Query(ctx context.Context, req *query.Request) (*query.Result, error) {
-	v, err := s.acquireView()
-	if err != nil {
-		return nil, err
-	}
-	defer v.release()
-	return v.local.Query(ctx, req)
 }

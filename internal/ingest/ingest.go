@@ -121,9 +121,8 @@ func (v *view) release() {
 }
 
 // Store is a crash-safe appendable frame store. All methods are safe
-// for concurrent use; it implements api.Backend, api.Ingestor, and the
-// payload capabilities, so the HTTP layer serves it like any other
-// backend.
+// for concurrent use; it implements api.Backend and api.Ingestor, so
+// the HTTP layer serves it like any other backend.
 type Store struct {
 	path    string
 	walPath string

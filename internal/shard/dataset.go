@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -29,13 +30,13 @@ type frameRef struct {
 type Dataset struct {
 	man     *Manifest
 	readers []*store.Reader
-	bases   []int // global position of each shard's first frame
 	total   int
 	refs    []frameRef  // global position → shard location
 	labels  map[int]int // label → global position
 	cache   *query.Cache
 	engines []*query.Engine // one per shard, sharing cache
 	unified *query.Engine   // over the concatenated view, for cross-shard plans
+	scatter *query.Scatter  // shard-local work, one part per touched shard
 }
 
 // Open opens the dataset described by the manifest at path. Shard paths
@@ -53,7 +54,6 @@ func Open(path string, opts query.Options) (*Dataset, error) {
 	dir := filepath.Dir(path)
 	d := &Dataset{
 		man:    man,
-		bases:  make([]int, len(man.Shards)),
 		labels: make(map[int]int),
 	}
 	ok := false
@@ -96,7 +96,6 @@ func Open(path string, opts query.Options) (*Dataset, error) {
 					sh.Path, got, sh.CRC32)
 			}
 		}
-		d.bases[s] = d.total
 		for i := 0; i < r.Len(); i++ {
 			label := r.Info(i).Label
 			if label != sh.Labels[i] {
@@ -118,6 +117,13 @@ func Open(path string, opts query.Options) (*Dataset, error) {
 		d.engines = append(d.engines, query.New(r, shardOpts))
 	}
 	d.unified = query.New(d, shardOpts)
+	d.scatter = &query.Scatter{
+		Span: "shard.scatter", Owners: len(d.readers), Spec: d.Spec(), Specs: d.Specs(),
+		Locate: d.Locate, Seconds: shardScatterSeconds,
+		Part: func(ctx context.Context, p query.Part, sub *query.Request) (*query.Result, error) {
+			return d.engines[p.Owner].Run(ctx, sub)
+		},
+	}
 	ok = true
 	return d, nil
 }
@@ -248,13 +254,6 @@ func (d *Dataset) Frame(i int) (codec.Compressed, error) {
 func (d *Dataset) Decompress(i int) (*tensor.Tensor, error) {
 	ref := d.refs[i]
 	return d.readers[ref.shard].Decompress(ref.local)
-}
-
-// Payload reads the raw encoded bytes of global frame i and verifies
-// their checksum.
-func (d *Dataset) Payload(i int) ([]byte, error) {
-	ref := d.refs[i]
-	return d.readers[ref.shard].Payload(ref.local)
 }
 
 // PayloadAppend appends the verified encoded bytes of global frame i

@@ -2,55 +2,24 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/query"
-	"repro/internal/tensor"
 )
 
 // Dataset is a query.Source, which is what backs the unified engine.
 var _ query.Source = (*Dataset)(nil)
 
-// part is one shard's share of a routed selection: the local index
-// range its engine should scan.
-type part struct {
-	shard    int
-	from, to int // local positions, half-open
-}
-
-// partsOf routes the compiled selection — the resolved global frame
-// positions, ascending — to shards. Shards cover contiguous global
-// ranges, so each shard with at least one match yields exactly one
-// part spanning its first to last matched local position; shards the
-// selector cannot touch (a label glob that matches nothing there, a
-// range that ends earlier) are skipped without opening a frame.
-func (d *Dataset) partsOf(frames []int) []part {
-	var parts []part
-	for _, g := range frames {
-		ref := d.refs[g]
-		if n := len(parts); n > 0 && parts[n-1].shard == ref.shard {
-			parts[n-1].to = ref.local + 1
-			continue
-		}
-		parts = append(parts, part{shard: ref.shard, from: ref.local, to: ref.local + 1})
-	}
-	return parts
-}
-
 // Query answers req over the whole dataset with single-store semantics.
 //
 // Shard-local work — per-frame aggregates, regions, points, and
-// dataset-level reductions — scatters: the router picks the shards the
-// selection can touch, their engines run concurrently on the shared
-// worker pool, and the partial results gather in manifest order
-// (per-frame results remap to global positions; reductions merge their
-// moment state exactly). Metric requests couple frames across shards —
-// a pairwise metric's two frames or a reference frame may live anywhere
-// — so they run on the unified engine over the concatenated view
-// instead, which fans out per frame across the same pool.
+// dataset-level reductions — scatters through query.Scatter: the router
+// picks the shards the selection can touch, their engines run
+// concurrently on the shared worker pool, and the partial results
+// gather in manifest order. Metric requests couple frames across shards
+// — a pairwise metric's two frames or a reference frame may live
+// anywhere — so they run on the unified engine over the concatenated
+// view instead, which fans out per frame across the same pool.
 func (d *Dataset) Query(ctx context.Context, req *query.Request) (*query.Result, error) {
 	if req == nil {
 		return nil, fmt.Errorf("%w: nil request", query.ErrBadRequest)
@@ -66,65 +35,9 @@ func (d *Dataset) Query(ctx context.Context, req *query.Request) (*query.Result,
 	if err != nil {
 		return nil, err
 	}
-	parts := d.partsOf(p.Frames())
+	parts := d.scatter.Route(p.Frames())
 	shardQueries.Inc()
 	shardParts.Add(uint64(len(parts)))
 	shardSkipped.Add(uint64(d.Shards() - len(parts)))
-	ctx, span := obs.DefaultTracer.Start(ctx, "shard.scatter")
-	span.SetDetail("parts=%d/%d", len(parts), d.Shards())
-	defer span.End()
-
-	results := make([]*query.Result, len(parts))
-	errs := make([]error, len(parts))
-	if err := tensor.ParallelForCoarseCtx(ctx, len(parts), func(j int) {
-		start := time.Now()
-		results[j], errs[j] = d.engines[parts[j].shard].Run(ctx, d.subRequest(req, parts[j]))
-		shardScatterSeconds.ObserveDuration(time.Since(start))
-	}); err != nil {
-		return nil, err
-	}
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return d.gather(p.Reduce(), parts, results)
-}
-
-// subRequest scopes req to one shard: same work, selection translated
-// to the shard's local index range.
-func (d *Dataset) subRequest(req *query.Request, p part) *query.Request {
-	sub := *req
-	from, to := p.from, p.to
-	sub.Select = query.Selector{Labels: req.Select.Labels, From: &from, To: &to}
-	return &sub
-}
-
-// gather merges per-shard results into one dataset answer: frame
-// results concatenate in manifest order with indices remapped to global
-// positions, the compressed-space flag ANDs, and reduction partials
-// fold through query.Moments into the plan's normalized kind list.
-func (d *Dataset) gather(reduce []string, parts []part, results []*query.Result) (*query.Result, error) {
-	out := &query.Result{Spec: d.Spec(), ExecutedInCompressedSpace: true}
-	if specs := d.Specs(); len(specs) > 1 {
-		out.Specs = specs
-	}
-	total := query.EmptyMoments()
-	for j, r := range results {
-		base := d.bases[parts[j].shard]
-		for _, fr := range r.Frames {
-			fr.Index += base
-			out.Frames = append(out.Frames, fr)
-		}
-		out.ExecutedInCompressedSpace = out.ExecutedInCompressedSpace && r.ExecutedInCompressedSpace
-		if r.Reduced != nil {
-			total.Merge(r.Reduced.Moments)
-		}
-	}
-	if len(reduce) > 0 {
-		reduced, err := total.Reduced(reduce)
-		if err != nil {
-			return nil, err
-		}
-		out.Reduced = reduced
-	}
-	return out, nil
+	return d.scatter.Run(ctx, req, parts, p.Reduce())
 }
